@@ -15,10 +15,10 @@ double ElementDistance::operator()(const Term& a, const Term& b) const {
     return StringDistance(options_.string_distance, a.value(), b.value());
   }
   // Both concepts: resolve in the taxonomy (aliases included).
-  auto ca = taxonomy_->Find(a.value());
-  auto cb = taxonomy_->Find(b.value());
-  if (ca.ok() && cb.ok()) {
-    return ConceptDistance(options_.concept_measure, *taxonomy_, *ca, *cb);
+  ConceptId ca = taxonomy_->FindId(a.value());
+  ConceptId cb = taxonomy_->FindId(b.value());
+  if (ca != kInvalidConcept && cb != kInvalidConcept) {
+    return ConceptDistance(options_.concept_measure, *taxonomy_, ca, cb);
   }
   // Out-of-vocabulary concepts: compare qualified names as strings so
   // the distance stays total.

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <queue>
 
 #include "common/string_util.h"
 
@@ -14,6 +12,7 @@ namespace semtree {
 Taxonomy::Taxonomy(std::string root_name) {
   Node root;
   root.name = std::move(root_name);
+  root.closure = {{0, 0}};
   nodes_.push_back(std::move(root));
   by_name_[nodes_[0].name] = 0;
 }
@@ -60,7 +59,9 @@ Result<ConceptId> Taxonomy::AddConceptUnder(
   nodes_.push_back(std::move(node));
   by_name_[key] = id;
   for (ConceptId p : nodes_[id].parents) nodes_[p].children.push_back(id);
-  InvalidateCaches();
+  nodes_[id].closure = ClosureFromParents(id);
+  max_depth_ = std::max(max_depth_, Depth(id));
+  ic_.Invalidate();
   return id;
 }
 
@@ -82,7 +83,8 @@ Status Taxonomy::AddParent(ConceptId child, ConceptId parent) {
   }
   parents.push_back(parent);
   nodes_[parent].children.push_back(child);
-  InvalidateCaches();
+  RecomputeClosuresBelow(child);
+  ic_.Invalidate();
   return Status::OK();
 }
 
@@ -120,22 +122,27 @@ Status Taxonomy::AddAntonym(ConceptId a, ConceptId b) {
 Status Taxonomy::AddFrequency(ConceptId c, uint64_t count) {
   if (c >= nodes_.size()) return Status::NotFound("unknown concept id");
   nodes_[c].frequency += count;
-  ic_valid_ = false;
+  ic_.Invalidate();
   return Status::OK();
 }
 
-Result<ConceptId> Taxonomy::Find(std::string_view name) const {
-  std::string key(name);
-  auto it = by_name_.find(key);
+ConceptId Taxonomy::FindId(std::string_view name) const {
+  auto it = by_name_.find(name);
   if (it != by_name_.end()) return it->second;
-  auto alias_it = aliases_.find(key);
+  auto alias_it = aliases_.find(name);
   if (alias_it != aliases_.end()) return alias_it->second;
-  return Status::NotFound(
-      StringPrintf("concept '%s' not in taxonomy", key.c_str()));
+  return kInvalidConcept;
+}
+
+Result<ConceptId> Taxonomy::Find(std::string_view name) const {
+  ConceptId id = FindId(name);
+  if (id != kInvalidConcept) return id;
+  return Status::NotFound(StringPrintf("concept '%s' not in taxonomy",
+                                       std::string(name).c_str()));
 }
 
 bool Taxonomy::Contains(std::string_view name) const {
-  return Find(name).ok();
+  return FindId(name) != kInvalidConcept;
 }
 
 std::vector<std::string> Taxonomy::ConceptNames() const {
@@ -164,144 +171,143 @@ std::vector<std::pair<ConceptId, ConceptId>> Taxonomy::AntonymPairs()
   return pairs;
 }
 
-void Taxonomy::InvalidateCaches() {
-  depths_valid_ = false;
-  ic_valid_ = false;
-}
-
-void Taxonomy::EnsureDepths() const {
-  if (depths_valid_) return;
-  depths_.assign(nodes_.size(), std::numeric_limits<uint32_t>::max());
-  std::deque<ConceptId> queue;
-  depths_[root()] = 0;
-  queue.push_back(root());
-  max_depth_ = 0;
-  while (!queue.empty()) {
-    ConceptId c = queue.front();
-    queue.pop_front();
-    for (ConceptId child : nodes_[c].children) {
-      if (depths_[child] > depths_[c] + 1) {
-        depths_[child] = depths_[c] + 1;
-        max_depth_ = std::max<size_t>(max_depth_, depths_[child]);
-        queue.push_back(child);
+std::vector<Taxonomy::Ancestor> Taxonomy::ClosureFromParents(
+    ConceptId c) const {
+  std::vector<Ancestor> out = {{c, 0}};
+  std::vector<Ancestor> merged;
+  for (ConceptId p : nodes_[c].parents) {
+    const std::vector<Ancestor>& up = nodes_[p].closure;
+    merged.clear();
+    merged.reserve(out.size() + up.size());
+    size_t i = 0;
+    size_t j = 0;
+    while (i < out.size() || j < up.size()) {
+      if (j == up.size() || (i < out.size() && out[i].id < up[j].id)) {
+        merged.push_back(out[i++]);
+      } else if (i == out.size() || up[j].id < out[i].id) {
+        merged.push_back({up[j].id, up[j].up + 1});
+        ++j;
+      } else {
+        merged.push_back({out[i].id, std::min(out[i].up, up[j].up + 1)});
+        ++i;
+        ++j;
       }
     }
-  }
-  depths_valid_ = true;
-}
-
-size_t Taxonomy::Depth(ConceptId c) const {
-  EnsureDepths();
-  return depths_[c];
-}
-
-size_t Taxonomy::MaxDepth() const {
-  EnsureDepths();
-  return max_depth_;
-}
-
-bool Taxonomy::IsAncestor(ConceptId ancestor, ConceptId descendant) const {
-  if (ancestor == descendant) return true;
-  // Walk up from the descendant; taxonomies are shallow, so DFS is fine.
-  std::vector<ConceptId> stack = {descendant};
-  std::unordered_set<ConceptId> seen;
-  while (!stack.empty()) {
-    ConceptId c = stack.back();
-    stack.pop_back();
-    for (ConceptId p : nodes_[c].parents) {
-      if (p == ancestor) return true;
-      if (seen.insert(p).second) stack.push_back(p);
-    }
-  }
-  return false;
-}
-
-std::vector<ConceptId> Taxonomy::Ancestors(ConceptId c) const {
-  std::vector<ConceptId> out;
-  std::unordered_set<ConceptId> seen;
-  std::deque<ConceptId> queue = {c};
-  seen.insert(c);
-  while (!queue.empty()) {
-    ConceptId cur = queue.front();
-    queue.pop_front();
-    out.push_back(cur);
-    for (ConceptId p : nodes_[cur].parents) {
-      if (seen.insert(p).second) queue.push_back(p);
-    }
+    out.swap(merged);
   }
   return out;
 }
 
-ConceptId Taxonomy::LowestCommonSubsumer(ConceptId a, ConceptId b) const {
-  EnsureDepths();
-  std::vector<ConceptId> a_up = Ancestors(a);
-  std::unordered_set<ConceptId> a_set(a_up.begin(), a_up.end());
-  ConceptId best = root();
-  size_t best_depth = 0;
-  for (ConceptId c : Ancestors(b)) {
-    if (!a_set.count(c)) continue;
-    size_t d = depths_[c];
-    if (d >= best_depth) {
-      // Ties broken toward the smaller id for determinism.
-      if (d > best_depth || c < best) best = c;
-      best_depth = d;
+void Taxonomy::RecomputeClosuresBelow(ConceptId c) {
+  // Kahn's algorithm over the descendants of `c`: a concept is
+  // recomputed once all of its parents inside the set are current.
+  std::vector<uint32_t> pending(nodes_.size(), 0);
+  std::vector<bool> below(nodes_.size(), false);
+  std::vector<ConceptId> stack = {c};
+  below[c] = true;
+  while (!stack.empty()) {
+    ConceptId cur = stack.back();
+    stack.pop_back();
+    for (ConceptId child : nodes_[cur].children) {
+      ++pending[child];
+      if (!below[child]) {
+        below[child] = true;
+        stack.push_back(child);
+      }
     }
   }
+  // `c` has no parent below itself (the taxonomy is acyclic).
+  stack = {c};
+  while (!stack.empty()) {
+    ConceptId cur = stack.back();
+    stack.pop_back();
+    nodes_[cur].closure = ClosureFromParents(cur);
+    for (ConceptId child : nodes_[cur].children) {
+      if (--pending[child] == 0) stack.push_back(child);
+    }
+  }
+  max_depth_ = 0;
+  for (ConceptId n = 0; n < nodes_.size(); ++n) {
+    max_depth_ = std::max(max_depth_, Depth(n));
+  }
+}
+
+template <typename Fn>
+void Taxonomy::ForEachCommonAncestor(ConceptId a, ConceptId b,
+                                     Fn fn) const {
+  const std::vector<Ancestor>& ca = nodes_[a].closure;
+  const std::vector<Ancestor>& cb = nodes_[b].closure;
+  size_t i = 0;
+  size_t j = 0;
+  while (i < ca.size() && j < cb.size()) {
+    if (ca[i].id < cb[j].id) {
+      ++i;
+    } else if (cb[j].id < ca[i].id) {
+      ++j;
+    } else {
+      fn(ca[i].id, ca[i].up, cb[j].up);
+      ++i;
+      ++j;
+    }
+  }
+}
+
+size_t Taxonomy::Depth(ConceptId c) const {
+  return nodes_[c].closure.front().up;
+}
+
+size_t Taxonomy::MaxDepth() const { return max_depth_; }
+
+bool Taxonomy::IsAncestor(ConceptId ancestor, ConceptId descendant) const {
+  return UpEdges(descendant, ancestor) !=
+         std::numeric_limits<size_t>::max();
+}
+
+std::vector<ConceptId> Taxonomy::Ancestors(ConceptId c) const {
+  std::vector<ConceptId> out;
+  out.reserve(nodes_[c].closure.size());
+  for (const Ancestor& anc : nodes_[c].closure) out.push_back(anc.id);
+  return out;
+}
+
+ConceptId Taxonomy::LowestCommonSubsumer(ConceptId a, ConceptId b) const {
+  ConceptId best = root();
+  size_t best_depth = 0;
+  // Ids arrive in increasing order, so keeping only strictly deeper
+  // matches breaks depth ties toward the smaller id.
+  ForEachCommonAncestor(a, b, [&](ConceptId c, uint32_t, uint32_t) {
+    size_t d = Depth(c);
+    if (d > best_depth) {
+      best = c;
+      best_depth = d;
+    }
+  });
   return best;
 }
 
 size_t Taxonomy::ShortestPathEdges(ConceptId a, ConceptId b) const {
-  if (a == b) return 0;
-  // BFS upward from both endpoints; the shortest connecting path goes
-  // through a common ancestor, so dist = min over common c of
-  // up_a(c) + up_b(c).
-  auto up_distances = [this](ConceptId from) {
-    std::unordered_map<ConceptId, size_t> dist;
-    std::deque<ConceptId> queue = {from};
-    dist[from] = 0;
-    while (!queue.empty()) {
-      ConceptId c = queue.front();
-      queue.pop_front();
-      for (ConceptId p : nodes_[c].parents) {
-        if (!dist.count(p)) {
-          dist[p] = dist[c] + 1;
-          queue.push_back(p);
-        }
-      }
-    }
-    return dist;
-  };
-  auto da = up_distances(a);
-  auto db = up_distances(b);
+  // The shortest connecting path goes through a common ancestor, so
+  // dist = min over common c of up_a(c) + up_b(c).
   size_t best = std::numeric_limits<size_t>::max();
-  for (const auto& [c, d] : da) {
-    auto it = db.find(c);
-    if (it != db.end()) best = std::min(best, d + it->second);
-  }
+  ForEachCommonAncestor(a, b, [&](ConceptId, uint32_t up_a, uint32_t up_b) {
+    best = std::min<size_t>(best, size_t{up_a} + up_b);
+  });
   return best;
 }
 
 size_t Taxonomy::UpEdges(ConceptId descendant, ConceptId ancestor) const {
-  if (descendant == ancestor) return 0;
-  std::unordered_map<ConceptId, size_t> dist;
-  std::deque<ConceptId> queue = {descendant};
-  dist[descendant] = 0;
-  while (!queue.empty()) {
-    ConceptId c = queue.front();
-    queue.pop_front();
-    for (ConceptId p : nodes_[c].parents) {
-      if (!dist.count(p)) {
-        dist[p] = dist[c] + 1;
-        if (p == ancestor) return dist[p];
-        queue.push_back(p);
-      }
-    }
+  const std::vector<Ancestor>& closure = nodes_[descendant].closure;
+  auto it = std::lower_bound(
+      closure.begin(), closure.end(), ancestor,
+      [](const Ancestor& entry, ConceptId id) { return entry.id < id; });
+  if (it == closure.end() || it->id != ancestor) {
+    return std::numeric_limits<size_t>::max();
   }
-  return std::numeric_limits<size_t>::max();
+  return it->up;
 }
 
 void Taxonomy::EnsureInformationContent() const {
-  if (ic_valid_) return;
+  if (ic_.valid) return;
   // Subtree mass: each concept contributes its own frequency (or 1 under
   // the uniform fallback) to itself and every ancestor.
   uint64_t total_observed = 0;
@@ -312,30 +318,32 @@ void Taxonomy::EnsureInformationContent() const {
   for (ConceptId c = 0; c < nodes_.size(); ++c) {
     double own = uniform ? 1.0 : static_cast<double>(nodes_[c].frequency);
     if (own == 0.0) continue;
-    for (ConceptId anc : Ancestors(c)) mass[anc] += own;
+    for (const Ancestor& anc : nodes_[c].closure) mass[anc.id] += own;
   }
   double root_mass = mass[root()];
-  information_content_.assign(nodes_.size(), 0.0);
-  max_ic_ = 0.0;
+  ic_.values.assign(nodes_.size(), 0.0);
+  ic_.max = 0.0;
   for (ConceptId c = 0; c < nodes_.size(); ++c) {
     double p = (root_mass > 0.0) ? mass[c] / root_mass : 0.0;
     // Unobserved concepts get the maximal finite IC via Laplace-style
     // smoothing with half a count.
     if (p <= 0.0) p = 0.5 / (root_mass + 1.0);
-    information_content_[c] = -std::log(p);
-    max_ic_ = std::max(max_ic_, information_content_[c]);
+    ic_.values[c] = -std::log(p);
+    ic_.max = std::max(ic_.max, ic_.values[c]);
   }
-  ic_valid_ = true;
+  ic_.valid = true;
 }
 
 double Taxonomy::InformationContent(ConceptId c) const {
+  MutexLock lock(ic_.mu);
   EnsureInformationContent();
-  return information_content_[c];
+  return ic_.values[c];
 }
 
 double Taxonomy::MaxInformationContent() const {
+  MutexLock lock(ic_.mu);
   EnsureInformationContent();
-  return max_ic_;
+  return ic_.max;
 }
 
 bool Taxonomy::AreAntonyms(ConceptId a, ConceptId b) const {
@@ -385,9 +393,14 @@ Status Taxonomy::Validate() const {
                        nodes_[c].name.c_str()));
     }
   }
-  // Acyclicity: every concept must reach the root.
+  // The closure table matches the edges, and every concept reaches the
+  // root.
   for (ConceptId c = 0; c < nodes_.size(); ++c) {
-    if (!IsAncestor(root(), c)) {
+    if (nodes_[c].closure != ClosureFromParents(c)) {
+      return Status::Corruption(StringPrintf(
+          "ancestor table of '%s' is stale", nodes_[c].name.c_str()));
+    }
+    if (nodes_[c].closure.front().id != root()) {
       return Status::Corruption(StringPrintf(
           "concept '%s' cannot reach the root", nodes_[c].name.c_str()));
     }

@@ -10,15 +10,17 @@
 #define SEMTREE_ONTOLOGY_TAXONOMY_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 
 namespace semtree {
 
@@ -34,7 +36,13 @@ inline constexpr ConceptId kInvalidConcept =
 /// (synonyms) resolve to their canonical concept. Antonymy is a symmetric
 /// relation between concepts (the paper's "antinomy").
 ///
-/// Not thread-safe for mutation; concurrent reads are safe once built.
+/// Every concept carries its ancestor closure, kept current by each
+/// mutation, so the structure queries (depth, LCS, path length) are
+/// table reads with no allocation (DESIGN.md §13).
+///
+/// Not thread-safe for mutation. Any number of threads may call the
+/// const methods at once, from the first read on: the only lazily
+/// built cache (information content) is read and filled under a mutex.
 class Taxonomy {
  public:
   /// Creates a taxonomy containing only the root concept.
@@ -78,6 +86,11 @@ class Taxonomy {
 
   /// Resolves a name or alias to a ConceptId.
   Result<ConceptId> Find(std::string_view name) const;
+
+  /// Like Find, but returns kInvalidConcept for an unknown name instead
+  /// of building an error; never allocates.
+  ConceptId FindId(std::string_view name) const;
+
   bool Contains(std::string_view name) const;
 
   const std::string& name(ConceptId c) const { return nodes_[c].name; }
@@ -112,11 +125,13 @@ class Taxonomy {
   /// (reflexive: a concept is its own ancestor).
   bool IsAncestor(ConceptId ancestor, ConceptId descendant) const;
 
-  /// All ancestors of `c`, inclusive of `c` itself.
+  /// All ancestors of `c`, inclusive of `c` itself, in increasing id
+  /// order.
   std::vector<ConceptId> Ancestors(ConceptId c) const;
 
   /// The deepest common ancestor of `a` and `b` (the "least common
-  /// subsumer"). Always exists because the taxonomy is rooted.
+  /// subsumer"), ties broken toward the smaller id. Always exists
+  /// because the taxonomy is rooted.
   ConceptId LowestCommonSubsumer(ConceptId a, ConceptId b) const;
 
   /// Number of IS-A edges on the shortest path between `a` and `b`
@@ -150,30 +165,81 @@ class Taxonomy {
   Status Validate() const;
 
  private:
+  /// One entry of a concept's ancestor closure: an ancestor and the
+  /// minimum number of upward IS-A edges from the concept to it.
+  struct Ancestor {
+    ConceptId id;
+    uint32_t up;
+    friend bool operator==(const Ancestor&, const Ancestor&) = default;
+  };
+
   struct Node {
     std::string name;
     std::vector<ConceptId> parents;
     std::vector<ConceptId> children;
     std::vector<ConceptId> antonyms;
     uint64_t frequency = 0;
+    // Ancestor closure sorted by id, the concept itself included with
+    // up 0. The root has id 0, so closure.front().up is the depth.
+    std::vector<Ancestor> closure;
   };
 
-  void InvalidateCaches();
-  void EnsureDepths() const;
-  void EnsureInformationContent() const;
+  /// Information content depends on every frequency and edge, so it is
+  /// the one cache built lazily, on the first read after a mutation.
+  /// Every read and fill holds `mu`. A copy starts empty, which keeps
+  /// Taxonomy copyable and movable.
+  struct InformationContentCache {
+    InformationContentCache() = default;
+    InformationContentCache(
+        const InformationContentCache& /*other*/) noexcept {}
+    InformationContentCache& operator=(
+        const InformationContentCache& /*other*/) {
+      Invalidate();
+      return *this;
+    }
+
+    void Invalidate() {
+      MutexLock lock(mu);
+      valid = false;
+    }
+
+    Mutex mu;
+    bool valid GUARDED_BY(mu) = false;
+    std::vector<double> values GUARDED_BY(mu);
+    double max GUARDED_BY(mu) = 0.0;
+  };
+
+  /// Heterogeneous lookup, so FindId can probe with a string_view.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  using NameMap =
+      std::unordered_map<std::string, ConceptId, NameHash, std::equal_to<>>;
+
+  /// The closure of `c` derived from its parents' closures (each +1),
+  /// plus `c` itself with 0. Parents' closures must be current.
+  std::vector<Ancestor> ClosureFromParents(ConceptId c) const;
+
+  /// Recomputes the closure of `c` and of every descendant, in
+  /// topological order, and the maximum depth. Used after AddParent.
+  void RecomputeClosuresBelow(ConceptId c);
+
+  /// Calls fn(id, up_a, up_b) for each common ancestor of `a` and `b`,
+  /// in increasing id order.
+  template <typename Fn>
+  void ForEachCommonAncestor(ConceptId a, ConceptId b, Fn fn) const;
+
+  void EnsureInformationContent() const REQUIRES(ic_.mu);
   bool WouldCreateCycle(ConceptId child, ConceptId parent) const;
 
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, ConceptId> by_name_;
-  std::unordered_map<std::string, ConceptId> aliases_;
-
-  // Lazily computed caches, invalidated on mutation.
-  mutable bool depths_valid_ = false;
-  mutable std::vector<uint32_t> depths_;
-  mutable size_t max_depth_ = 0;
-  mutable bool ic_valid_ = false;
-  mutable std::vector<double> information_content_;
-  mutable double max_ic_ = 0.0;
+  NameMap by_name_;
+  NameMap aliases_;
+  size_t max_depth_ = 0;
+  mutable InformationContentCache ic_;
 };
 
 }  // namespace semtree

@@ -12,7 +12,18 @@ namespace semtree {
 size_t LevenshteinDistance(std::string_view a, std::string_view b) {
   if (a.size() < b.size()) std::swap(a, b);  // b is the shorter string.
   if (b.empty()) return a.size();
-  std::vector<size_t> row(b.size() + 1);
+  // One DP row, on the stack when the shorter string fits (the literals
+  // Eq. (1) compares are short identifiers), so most calls allocate
+  // nothing. Only row[0..b.size()] is read, after the loop below fills
+  // it, so the stack row is left uninitialized.
+  constexpr size_t kStackRow = 64;
+  size_t stack_row[kStackRow + 1];
+  std::vector<size_t> heap_row;
+  size_t* row = stack_row;
+  if (b.size() > kStackRow) {
+    heap_row.resize(b.size() + 1);
+    row = heap_row.data();
+  }
   for (size_t j = 0; j <= b.size(); ++j) row[j] = j;
   for (size_t i = 1; i <= a.size(); ++i) {
     size_t diag = row[0];  // row[j-1] from the previous row.

@@ -96,6 +96,27 @@ TEST_F(ElementDistanceTest, UnknownConceptsFallBackToStrings) {
       0.0);
 }
 
+TEST_F(ElementDistanceTest, OutOfVocabularyMatchesQualifiedNameDistance) {
+  // One or both concepts unknown: the distance is the string distance of
+  // the qualified names, exactly as before the allocation-free lookup.
+  const Term known = Term::Concept("accept_cmd", "Fun");
+  const Term unknown_a = Term::Concept("not_in_vocab_a", "Fun");
+  const Term unknown_b = Term::Concept("not_in_vocab_b", "Par");
+  for (StringDistanceKind kind : {StringDistanceKind::kNormalizedLevenshtein,
+                                  StringDistanceKind::kJaroWinkler,
+                                  StringDistanceKind::kBigramDice}) {
+    ElementDistanceOptions opts;
+    opts.string_distance = kind;
+    ElementDistance dist(&vocab_, opts);
+    for (const auto& [a, b] : {std::pair{unknown_a, unknown_b},
+                               std::pair{known, unknown_a},
+                               std::pair{unknown_b, known}}) {
+      EXPECT_EQ(dist(a, b), StringDistance(kind, a.ToString(), b.ToString()))
+          << a.ToString() << " / " << b.ToString();
+    }
+  }
+}
+
 TEST_F(ElementDistanceTest, AlternativeMeasuresSelectable) {
   for (SimilarityMeasure m :
        {SimilarityMeasure::kPath, SimilarityMeasure::kResnik,

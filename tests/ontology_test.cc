@@ -145,6 +145,17 @@ TEST(TaxonomyTest, SynonymsResolve) {
   EXPECT_TRUE(tax.AddSynonym("hound", Id(tax, "cat")).IsAlreadyExists());
 }
 
+TEST(TaxonomyTest, FindIdResolvesNamesAndAliases) {
+  Taxonomy tax = SmallTaxonomy();
+  ASSERT_TRUE(tax.AddSynonym("hound", Id(tax, "dog")).ok());
+  EXPECT_EQ(tax.FindId("dog"), Id(tax, "dog"));
+  EXPECT_EQ(tax.FindId("hound"), Id(tax, "dog"));
+  EXPECT_EQ(tax.FindId("entity"), tax.root());
+  EXPECT_EQ(tax.FindId("unicorn"), kInvalidConcept);
+  EXPECT_EQ(tax.FindId(""), kInvalidConcept);
+  EXPECT_TRUE(tax.Find("unicorn").status().IsNotFound());
+}
+
 TEST(TaxonomyTest, AntonymsSymmetric) {
   Taxonomy tax = SmallTaxonomy();
   ConceptId dog = Id(tax, "dog");

@@ -2,6 +2,10 @@
 //
 // Unit + property tests for src/text: string distances and tokenizer.
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -21,6 +25,46 @@ TEST(LevenshteinTest, KnownValues) {
   EXPECT_EQ(LevenshteinDistance("kitten", "sitting"), 3u);
   EXPECT_EQ(LevenshteinDistance("flaw", "lawn"), 2u);
   EXPECT_EQ(LevenshteinDistance("identical", "identical"), 0u);
+}
+
+// The single-row DP with a heap row for every call, as it was before
+// short strings moved to a stack row.
+size_t ReferenceLevenshtein(std::string_view a, std::string_view b) {
+  if (a.size() < b.size()) std::swap(a, b);
+  if (b.empty()) return a.size();
+  std::vector<size_t> row(b.size() + 1);
+  for (size_t j = 0; j <= b.size(); ++j) row[j] = j;
+  for (size_t i = 1; i <= a.size(); ++i) {
+    size_t diag = row[0];
+    row[0] = i;
+    for (size_t j = 1; j <= b.size(); ++j) {
+      size_t up = row[j];
+      size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
+      row[j] = std::min({row[j - 1] + 1, up + 1, diag + cost});
+      diag = up;
+    }
+  }
+  return row[b.size()];
+}
+
+TEST(LevenshteinTest, StackAndHeapRowsMatchReference) {
+  // Shorter-string lengths on both sides of the 64-char stack row.
+  Rng rng(5);
+  auto random_string = [&](size_t len) {
+    std::string s;
+    for (size_t i = 0; i < len; ++i) s.push_back(char('a' + rng.Uniform(4)));
+    return s;
+  };
+  for (size_t short_len : {1, 2, 7, 63, 64, 65, 66, 130}) {
+    for (int rep = 0; rep < 20; ++rep) {
+      std::string a = random_string(short_len);
+      std::string b = random_string(short_len + rng.Uniform(40));
+      EXPECT_EQ(LevenshteinDistance(a, b), ReferenceLevenshtein(a, b))
+          << short_len;
+      EXPECT_EQ(LevenshteinDistance(b, a), ReferenceLevenshtein(a, b))
+          << short_len;
+    }
+  }
 }
 
 TEST(LevenshteinTest, SingleEdits) {
